@@ -1,14 +1,12 @@
 //! The assembled synthetic city and its query API.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::CityError;
 use crate::geo::{BoundingBox, GeoPoint};
 use crate::poi::PoiIndex;
 use crate::zone::{RegionKind, Zone};
 
 /// A cellular tower.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Tower {
     /// Tower id (index into the city's tower list; doubles as the
     /// `cell_id` of traffic logs).

@@ -1,7 +1,5 @@
 //! City-generation configuration and presets.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::CityError;
 use crate::geo::GeoPoint;
 
@@ -11,7 +9,7 @@ use crate::geo::GeoPoint;
 /// Shanghai-sized monocentric city, with the Table 1 region mixture as
 /// the tower-placement prior. Smaller presets keep tests and examples
 /// fast.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CityConfig {
     /// RNG seed: two configs with equal fields generate identical
     /// cities.

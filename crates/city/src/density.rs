@@ -2,12 +2,10 @@
 //! density of Fig 2 (bytes per km²) and the per-cluster tower density
 //! maps of Fig 7.
 
-use serde::{Deserialize, Serialize};
-
 use crate::geo::{BoundingBox, GeoPoint};
 
 /// A uniform raster over a bounding box accumulating point weights.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DensityGrid {
     bounds: BoundingBox,
     cols: usize,

@@ -1,8 +1,6 @@
 //! Geographic primitives: points, distances, bounding boxes, and the
 //! block-grid address convention shared with the synthetic geocoder.
 
-use serde::{Deserialize, Serialize};
-
 /// Mean Earth radius in metres (IUGG).
 pub const EARTH_RADIUS_M: f64 = 6_371_008.8;
 
@@ -12,7 +10,7 @@ pub const EARTH_RADIUS_M: f64 = 6_371_008.8;
 pub const BLOCK_DEG: f64 = 0.001;
 
 /// A WGS84-style coordinate (degrees).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct GeoPoint {
     /// Longitude in degrees.
     pub lon: f64,
@@ -96,7 +94,7 @@ fn parse_signed_pair(i_str: &str, j_str: &str, rest: &str) -> Option<(i64, i64)>
 }
 
 /// An axis-aligned bounding box in degrees.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundingBox {
     /// West edge (min longitude).
     pub min_lon: f64,

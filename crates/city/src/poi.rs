@@ -7,13 +7,11 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::geo::GeoPoint;
 use crate::zone::PoiKind;
 
 /// A single point of interest.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Poi {
     /// Location.
     pub position: GeoPoint,

@@ -1,13 +1,11 @@
 //! Urban functional regions and POI taxonomy.
 
-use serde::{Deserialize, Serialize};
-
 use crate::geo::GeoPoint;
 
 /// The five urban functional region kinds the paper identifies
 /// (§3.3). Order matters: it is the canonical index used across the
 /// workspace (shares arrays, mixture vectors, tables).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RegionKind {
     /// Residential area — homes; traffic peaks in the evening and
     /// stays high at night.
@@ -91,7 +89,7 @@ impl std::fmt::Display for RegionKind {
 
 /// The four POI types the paper counts within 200 m of each tower
 /// (§3.3.1): resident, transport, office, entertainment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PoiKind {
     /// Residential buildings.
     Resident,
@@ -145,7 +143,7 @@ impl std::fmt::Display for PoiKind {
 }
 
 /// A functional zone: a disc of a single region kind.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Zone {
     /// Zone id (index into the city's zone list).
     pub id: usize,

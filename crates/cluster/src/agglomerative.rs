@@ -18,9 +18,8 @@
 //!
 //! Neither engine knows where distances live: both are generic over
 //! [`DistanceSource`], so the same code runs against the materialised
-//! [`DistanceMatrix`] and the matrix-free
-//! [`OnDemandMetric`](crate::source::OnDemandMetric) — and a golden
-//! test pins the two sources to bit-identical dendrograms.
+//! [`DistanceMatrix`] and the matrix-free [`IndexedMetric`] — and a
+//! golden test pins the two sources to bit-identical dendrograms.
 
 use towerlens_obs::LazyCounter;
 
@@ -28,7 +27,7 @@ use crate::dendrogram::{Dendrogram, Merge};
 use crate::distance::DistanceMatrix;
 use crate::error::{validate_points, ClusterError};
 use crate::index::IndexedMetric;
-use crate::source::{DistanceSource, OnDemandMetric};
+use crate::source::DistanceSource;
 
 /// Merge steps performed, across all clustering runs (n−1 per run).
 static MERGES: LazyCounter = LazyCounter::new("cluster.agglomerative.merges");
@@ -89,11 +88,11 @@ pub enum Engine {
 /// # Errors
 /// [`ClusterError::EmptyInput`] for a zero-point matrix.
 pub fn agglomerative(
-    dist: DistanceMatrix,
+    mut dist: DistanceMatrix,
     linkage: Linkage,
     engine: Engine,
 ) -> Result<Dendrogram, ClusterError> {
-    agglomerative_source(dist, linkage, engine)
+    agglomerative_source(&mut dist, linkage, engine)
 }
 
 /// Runs agglomerative clustering over any [`DistanceSource`] — the
@@ -104,7 +103,7 @@ pub fn agglomerative(
 /// # Errors
 /// [`ClusterError::EmptyInput`] for a zero-point source.
 pub fn agglomerative_source<S: DistanceSource>(
-    mut source: S,
+    source: &mut S,
     linkage: Linkage,
     engine: Engine,
 ) -> Result<Dendrogram, ClusterError> {
@@ -116,37 +115,21 @@ pub fn agglomerative_source<S: DistanceSource>(
         return Dendrogram::new(1, Vec::new());
     }
     let merges = match engine {
-        Engine::Naive => naive(&mut source, linkage),
-        Engine::NnChain => nn_chain(&mut source, linkage),
+        Engine::Naive => naive(source, linkage),
+        Engine::NnChain => nn_chain(source, linkage),
     };
     MERGES.add(merges.len() as u64);
     Dendrogram::new(n, merges)
 }
 
-/// Matrix-free counterpart of [`agglomerative_points`]: clusters a
-/// point set through an [`OnDemandMetric`], recomputing leaf distances
-/// from the rows instead of materialising the O(n²) condensed matrix.
-/// Bit-identical to the materialised path on the same points. Right
+/// Matrix-free counterpart of [`agglomerative_points`]: the same
+/// engines over an [`IndexedMetric`], which recomputes leaf distances
+/// from the rows instead of materialising the O(n²) condensed matrix
+/// and answers the nn-chain's nearest-neighbour queries by
+/// branch-and-bound instead of a linear scan. Bit-identical to the
+/// materialised path on the same points (a golden test pins it). Right
 /// when leaf distances are cheap relative to memory — the 6-dim
 /// spectral feature space at paper scale and beyond.
-///
-/// # Errors
-/// Propagates point-set validation failures; see [`ClusterError`].
-pub fn agglomerative_points_on_demand(
-    points: &[Vec<f64>],
-    linkage: Linkage,
-    engine: Engine,
-) -> Result<Dendrogram, ClusterError> {
-    validate_points(points)?;
-    agglomerative_source(OnDemandMetric::new(points), linkage, engine)
-}
-
-/// Indexed counterpart of [`agglomerative_points_on_demand`]: the same
-/// matrix-free engines over an [`IndexedMetric`], whose exact-pruning
-/// spatial index answers the nn-chain's nearest-neighbour queries by
-/// branch-and-bound instead of a linear scan. Bit-identical
-/// dendrograms (a golden test pins it); at paper scale and beyond the
-/// scan evaluations collapse by orders of magnitude.
 ///
 /// # Errors
 /// Propagates point-set validation failures; see [`ClusterError`].
@@ -156,7 +139,7 @@ pub fn agglomerative_points_indexed(
     engine: Engine,
 ) -> Result<Dendrogram, ClusterError> {
     validate_points(points)?;
-    agglomerative_source(IndexedMetric::new(points, linkage), linkage, engine)
+    agglomerative_source(&mut IndexedMetric::new(points, linkage), linkage, engine)
 }
 
 /// Convenience: build the distance matrix (with `threads` workers) and
@@ -484,13 +467,16 @@ mod tests {
 
     #[test]
     fn matrix_free_engines_are_bit_identical_to_the_materialised_path() {
-        // The golden test the refactor hangs on: both engines, all four
-        // linkages, merge-for-merge equality with distances compared at
-        // the bit level. The on-demand source recomputes every leaf
-        // distance from the rows; any drift from the materialised
-        // matrix (kernel mismatch, stale Lance–Williams row, wrong
-        // fallthrough) shows up here.
-        let points: Vec<Vec<f64>> = (0..48)
+        // The golden test the matrix-free path hangs on: both engines,
+        // all four linkages, merge-for-merge equality with distances
+        // compared at the bit level against the materialised matrix.
+        // The indexed source recomputes every leaf distance from the
+        // rows; any drift (kernel mismatch, stale Lance–Williams row,
+        // wrong fallthrough, an unsound prune) shows up here. Two
+        // inputs: a loose 3-dim cloud, and clustered 6-dim data where
+        // the index actually prunes (Ward exercises the
+        // no-merged-prune fallback, average the deflated bound).
+        let loose: Vec<Vec<f64>> = (0..48)
             .map(|i| {
                 let t = i as f64;
                 vec![
@@ -500,40 +486,7 @@ mod tests {
                 ]
             })
             .collect();
-        for linkage in [
-            Linkage::Single,
-            Linkage::Complete,
-            Linkage::Average,
-            Linkage::Ward,
-        ] {
-            for engine in [Engine::Naive, Engine::NnChain] {
-                let built = agglomerative_points(&points, linkage, engine, 1).unwrap();
-                let lazy = agglomerative_points_on_demand(&points, linkage, engine).unwrap();
-                assert_eq!(built.merges().len(), lazy.merges().len());
-                for (step, (x, y)) in built.merges().iter().zip(lazy.merges()).enumerate() {
-                    assert_eq!(x.a, y.a, "{linkage:?}/{engine:?} merge {step}");
-                    assert_eq!(x.b, y.b, "{linkage:?}/{engine:?} merge {step}");
-                    assert_eq!(x.size, y.size, "{linkage:?}/{engine:?} merge {step}");
-                    assert_eq!(
-                        x.distance.to_bits(),
-                        y.distance.to_bits(),
-                        "{linkage:?}/{engine:?} merge {step}: {} vs {}",
-                        x.distance,
-                        y.distance
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn indexed_engines_are_bit_identical_to_the_on_demand_path() {
-        // The tentpole's golden test: the exact-pruning index must
-        // change *nothing* about the output — merge partners, sizes,
-        // and heights compared at the bit level against the on-demand
-        // scan, for both engines and all four linkages (Ward exercises
-        // the no-merged-prune fallback, average the deflated bound).
-        let points: Vec<Vec<f64>> = (0..120)
+        let clustered: Vec<Vec<f64>> = (0..120)
             .map(|i| {
                 let t = i as f64;
                 (0..6)
@@ -543,27 +496,30 @@ mod tests {
                     .collect()
             })
             .collect();
-        for linkage in [
-            Linkage::Single,
-            Linkage::Complete,
-            Linkage::Average,
-            Linkage::Ward,
-        ] {
-            for engine in [Engine::Naive, Engine::NnChain] {
-                let lazy = agglomerative_points_on_demand(&points, linkage, engine).unwrap();
-                let fast = agglomerative_points_indexed(&points, linkage, engine).unwrap();
-                assert_eq!(lazy.merges().len(), fast.merges().len());
-                for (step, (x, y)) in lazy.merges().iter().zip(fast.merges()).enumerate() {
-                    assert_eq!(x.a, y.a, "{linkage:?}/{engine:?} merge {step}");
-                    assert_eq!(x.b, y.b, "{linkage:?}/{engine:?} merge {step}");
-                    assert_eq!(x.size, y.size, "{linkage:?}/{engine:?} merge {step}");
-                    assert_eq!(
-                        x.distance.to_bits(),
-                        y.distance.to_bits(),
-                        "{linkage:?}/{engine:?} merge {step}: {} vs {}",
-                        x.distance,
-                        y.distance
-                    );
+        for points in [&loose, &clustered] {
+            for linkage in [
+                Linkage::Single,
+                Linkage::Complete,
+                Linkage::Average,
+                Linkage::Ward,
+            ] {
+                for engine in [Engine::Naive, Engine::NnChain] {
+                    let built = agglomerative_points(points, linkage, engine, 1).unwrap();
+                    let fast = agglomerative_points_indexed(points, linkage, engine).unwrap();
+                    let what = format!("n={} {linkage:?}/{engine:?}", points.len());
+                    assert_eq!(built.merges().len(), fast.merges().len(), "{what}");
+                    for (step, (x, y)) in built.merges().iter().zip(fast.merges()).enumerate() {
+                        assert_eq!(x.a, y.a, "{what} merge {step}");
+                        assert_eq!(x.b, y.b, "{what} merge {step}");
+                        assert_eq!(x.size, y.size, "{what} merge {step}");
+                        assert_eq!(
+                            x.distance.to_bits(),
+                            y.distance.to_bits(),
+                            "{what} merge {step}: {} vs {}",
+                            x.distance,
+                            y.distance
+                        );
+                    }
                 }
             }
         }
@@ -571,11 +527,11 @@ mod tests {
 
     #[test]
     fn indexed_nn_chain_prunes_scan_evaluations() {
-        // The point of the index: at even modest n the nn-chain's scan
-        // evaluations through the indexed source must undercut the
-        // on-demand source's by a wide margin (the Lance–Williams loop
-        // evaluates the same C(n,2) leaf pairs either way; the scans
-        // are where the index wins).
+        // The point of the index: the nn-chain's nearest-neighbour
+        // scans descend the tree instead of reading every active slot.
+        // The count is deterministic, so it is pinned exactly: the
+        // C(400,2) = 79,800 Lance–Williams floor plus 1,612 evaluations
+        // from the pruned descents.
         let points: Vec<Vec<f64>> = (0..400)
             .map(|i| {
                 (0..6)
@@ -583,22 +539,10 @@ mod tests {
                     .collect()
             })
             .collect();
-        let mut lazy = OnDemandMetric::new(&points[..]);
-        let a = nn_chain(&mut lazy, Linkage::Average);
         let mut fast = IndexedMetric::new(&points, Linkage::Average);
-        let b = nn_chain(&mut fast, Linkage::Average);
-        assert_eq!(a.len(), b.len());
-        // Both counters include the C(n,2) Lance–Williams floor (the
-        // recurrence reads each leaf pair once regardless of source);
-        // the index can only win back the scan share, so assert a
-        // strict-but-modest drop here and leave the order-of-magnitude
-        // claims to the measured bench workloads.
-        assert!(
-            fast.evaluations() < lazy.evaluations(),
-            "index evals {} not under scan evals {}",
-            fast.evaluations(),
-            lazy.evaluations()
-        );
+        let merges = nn_chain(&mut fast, Linkage::Average);
+        assert_eq!(merges.len(), points.len() - 1);
+        assert_eq!(fast.evaluations(), 81_412);
         assert!(fast.stats().pruned_subtrees > 0);
     }
 
@@ -607,7 +551,7 @@ mod tests {
         // Memory contract: after the final merge a single root cluster
         // survives, so at most one Lance–Williams row may remain live.
         let points: Vec<Vec<f64>> = (0..32).map(|i| vec![(i as f64 * 1.37).sin()]).collect();
-        let mut metric = OnDemandMetric::new(&points[..]);
+        let mut metric = IndexedMetric::new(&points, Linkage::Average);
         let merges = nn_chain(&mut metric, Linkage::Average);
         assert_eq!(merges.len(), points.len() - 1);
         assert!(

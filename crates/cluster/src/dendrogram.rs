@@ -1,8 +1,6 @@
 //! The merge tree produced by agglomerative clustering, and flat
 //! clusterings cut from it.
 
-use serde::{Deserialize, Serialize};
-
 use crate::distance::euclidean;
 use crate::error::{validate_points, ClusterError};
 
@@ -11,7 +9,7 @@ use crate::error::{validate_points, ClusterError};
 /// Cluster ids follow the scipy convention: the original points are
 /// clusters `0..n`, and the merge recorded at position `i` of the merge
 /// list creates cluster `n + i`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Merge {
     /// First merged cluster id.
     pub a: usize,
@@ -25,7 +23,7 @@ pub struct Merge {
 
 /// A full agglomerative merge history over `n` points
 /// (`n − 1` merges, non-decreasing in distance).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dendrogram {
     n: usize,
     merges: Vec<Merge>,
@@ -232,7 +230,7 @@ impl Dendrogram {
 
 /// A flat assignment of points to `k` clusters, labelled `0..k` in
 /// order of first appearance.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Clustering {
     /// `labels[i]` is the cluster of point `i`.
     pub labels: Vec<usize>,

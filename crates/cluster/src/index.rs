@@ -23,8 +23,9 @@
 //! [`IndexedMetric`] wires the tree into the nn-chain engine as a
 //! [`DistanceSource`]: leaf-level nearest-neighbour queries become
 //! pruned descents, while Lance–Williams rows for merged clusters are
-//! maintained exactly as [`OnDemandMetric`](crate::source::OnDemandMetric)
-//! does (same writes, same reads), so dendrograms are bit-identical.
+//! maintained by the same writes and reads the materialised
+//! [`DistanceMatrix`](crate::distance::DistanceMatrix) sees, so
+//! dendrograms are bit-identical.
 //! Merged clusters are tracked with axis-aligned bounding boxes (the
 //! O(1) union of their members' boxes); for the linkages whose
 //! cluster distance provably dominates the box gap (single, complete,
@@ -52,8 +53,7 @@ static INDEX_NODES_VISITED: LazyCounter = LazyCounter::new("cluster.index.nodes_
 /// Subtrees skipped because their lower bound exceeded the best
 /// candidate, across all runs.
 static INDEX_PRUNED: LazyCounter = LazyCounter::new("cluster.index.pruned_subtrees");
-/// Leaf-distance evaluations performed by [`IndexedMetric`] (the
-/// indexed counterpart of `cluster.distance.on_demand_evaluations`).
+/// Leaf-distance evaluations performed by [`IndexedMetric`].
 static INDEX_LEAF_EVALS: LazyCounter = LazyCounter::new("cluster.index.leaf_evaluations");
 
 /// Points per k-d tree leaf bucket: small enough that a bucket scan is
@@ -507,11 +507,11 @@ fn sq_box_gap(qlo: &[f64], qhi: &[f64], blo: &[f64], bhi: &[f64]) -> f64 {
 }
 
 /// The indexed matrix-free distance source: leaf distances on demand
-/// through the kernel, Lance–Williams rows for merged clusters exactly
-/// as [`OnDemandMetric`](crate::source::OnDemandMetric) keeps them,
-/// and nearest-neighbour queries answered through the [`SpatialIndex`]
-/// instead of a linear scan. Bit-identical dendrograms; orders of
-/// magnitude fewer scan evaluations.
+/// through the kernel, Lance–Williams rows (`LwRows`) stored only
+/// for merged clusters, and nearest-neighbour queries answered through
+/// the [`SpatialIndex`] instead of a linear scan. Bit-identical
+/// dendrograms to the materialised matrix; orders of magnitude fewer
+/// scan evaluations.
 #[derive(Debug)]
 pub struct IndexedMetric<'a> {
     points: &'a [Vec<f64>],
@@ -737,7 +737,8 @@ impl Drop for IndexedMetric<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::{top_k_nearest, FeatureView};
+    use crate::distance::euclidean;
+    use crate::source::top_k_nearest;
 
     fn mixture(n: usize, blobs: usize, dim: usize) -> Vec<Vec<f64>> {
         let mut s = 0x243F_6A88_85A3_08D3u64;
@@ -788,17 +789,16 @@ mod tests {
             tree.deactivate(i);
             dead[i] = true;
         }
-        let view = &points[..];
         let mut stats = SearchStats::default();
         for (q, point) in points.iter().enumerate() {
-            let mut value = |k: usize| view.distance(q, k);
+            let mut value = |k: usize| euclidean(point, &points[k]);
             let got = tree.nearest(point, point, 1.0, q, &mut stats, &mut value);
             let mut best = (f64::INFINITY, usize::MAX);
             for (k, &gone) in dead.iter().enumerate() {
                 if k == q || gone {
                     continue;
                 }
-                let d = view.distance(q, k);
+                let d = euclidean(point, &points[k]);
                 if d < best.0 {
                     best = (d, k);
                 }
@@ -816,10 +816,9 @@ mod tests {
         let mut points = vec![vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]; 5];
         points.push(vec![50.0; 6]);
         let tree = SpatialIndex::build(&points[..]);
-        let view = &points[..];
         let mut stats = SearchStats::default();
         for (q, point) in points.iter().enumerate().take(5) {
-            let mut value = |k: usize| view.distance(q, k);
+            let mut value = |k: usize| euclidean(point, &points[k]);
             let (k, v) = tree
                 .nearest(point, point, 1.0, q, &mut stats, &mut value)
                 .unwrap();

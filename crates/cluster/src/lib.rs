@@ -14,7 +14,6 @@
 //!   count.
 //! * [`validity`] — Davies–Bouldin index (the paper's stop-condition
 //!   tuner) and silhouette score as a second opinion.
-//! * [`kmeans`] — a k-means(++) baseline for comparison benches.
 //! * [`distance`] — Euclidean metrics (runtime-dispatched AVX kernel,
 //!   bit-identical to its scalar reference) and a cache-tiled parallel
 //!   pairwise-distance matrix builder (std scoped threads; no runtime
@@ -26,7 +25,7 @@
 //!   [`DistanceSource`] the nn-chain engine runs over at scale.
 //!
 //! All APIs are fallible ([`ClusterError`]) rather than panicking, and
-//! deterministic given their inputs (k-means takes an explicit seed).
+//! deterministic given their inputs.
 
 // `deny`, not `forbid`: the one sanctioned exception is the AVX
 // distance kernel in [`distance`], a leaf function pinned bit-for-bit
@@ -40,17 +39,15 @@ pub mod dendrogram;
 pub mod distance;
 pub mod error;
 pub mod index;
-pub mod kmeans;
 pub mod source;
 pub mod validity;
 
 pub use agglomerative::{
-    agglomerative, agglomerative_points_indexed, agglomerative_points_on_demand,
-    agglomerative_source, Engine, Linkage,
+    agglomerative, agglomerative_points_indexed, agglomerative_source, Engine, Linkage,
 };
 pub use compare::{adjusted_rand_index, purity, rand_index};
 pub use dendrogram::{Clustering, Dendrogram, Merge};
 pub use distance::DistanceMatrix;
 pub use error::ClusterError;
 pub use index::{IndexedMetric, PointSet, SearchStats, SpatialIndex};
-pub use source::{top_k_nearest, DistanceSource, FeatureView, OnDemandMetric, TopK};
+pub use source::{top_k_nearest, DistanceSource, TopK};

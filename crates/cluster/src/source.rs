@@ -9,33 +9,24 @@
 //! * [`DistanceMatrix`] — the materialised condensed matrix: every
 //!   pair precomputed, O(n²) memory. Right when leaf distances are
 //!   expensive (the raw 4,032-dim traffic vectors) and will be read
-//!   repeatedly.
-//! * [`OnDemandMetric`] — matrix-free: leaf distances are recomputed
-//!   from a row-major [`FeatureView`] on every read, and only the
-//!   Lance–Williams rows of *merged* clusters are stored (allocated on
-//!   first write, freed when the slot retires). No condensed buffer is
-//!   ever materialised, so memory follows the number of live internal
-//!   clusters instead of n²/2 — the enabler for clustering the paper's
-//!   9,600 towers (and beyond) in the 6-dim spectral feature space,
-//!   where a leaf distance costs six subtract-square-adds.
+//!   repeatedly, and the bit-level oracle for the matrix-free source.
+//! * [`IndexedMetric`](crate::index::IndexedMetric) — matrix-free:
+//!   leaf distances are recomputed from the feature rows on every
+//!   read, only the Lance–Williams rows of *merged* clusters are
+//!   stored (`LwRows`), and nearest-neighbour queries descend a
+//!   spatial index. Memory follows the number of live internal
+//!   clusters instead of n²/2 — the enabler for clustering the
+//!   paper's 9,600 towers (and beyond) in the 6-dim spectral feature
+//!   space.
 //!
 //! The two sources are *bit-identical* under the same engine and
 //! metric: leaf reads call the same [`euclidean`] kernel the matrix
 //! builder uses (symmetric at the bit level — the squared differences
 //! erase operand order), and merged-cluster reads return the exact
-//! values the engine stored. A golden test in
-//! [`crate::agglomerative`] pins this.
-
-use towerlens_obs::LazyCounter;
+//! values the engine stored. Golden tests in
+//! [`crate::agglomerative`] pin this.
 
 use crate::distance::{euclidean, DistanceMatrix};
-
-/// Leaf-distance evaluations performed by on-demand sources, across
-/// all runs. Batched: one add per clustering run, flushed when the
-/// metric drops, so the count is exact (and thread-invariant — the
-/// engines are serial).
-static ON_DEMAND_EVALUATIONS: LazyCounter =
-    LazyCounter::new("cluster.distance.on_demand_evaluations");
 
 /// What the agglomerative engines need from distance storage.
 ///
@@ -118,57 +109,25 @@ impl DistanceSource for DistanceMatrix {
     }
 }
 
-/// A row-major view of tower features: anything that can produce the
-/// Euclidean distance between two of its rows on demand.
-///
-/// Implemented for `[Vec<f64>]` (the in-memory feature matrices the
-/// pipeline produces) and, in `towerlens-pipeline`, for the f32
-/// chunked `TowerMatrix` storage.
-pub trait FeatureView {
-    /// Number of rows (towers).
-    fn len(&self) -> usize;
-
-    /// `true` when the view has no rows.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Euclidean distance between rows `i` and `j`.
-    fn distance(&self, i: usize, j: usize) -> f64;
-}
-
-impl FeatureView for [Vec<f64>] {
-    fn len(&self) -> usize {
-        <[Vec<f64>]>::len(self)
-    }
-    fn distance(&self, i: usize, j: usize) -> f64 {
-        euclidean(&self[i], &self[j])
-    }
-}
-
-/// The `k` nearest neighbours of `query` in a [`FeatureView`],
+/// The `k` nearest neighbours of row `query` among `points`,
 /// computed by a single linear scan — no distance matrix is ever
-/// materialised, so memory stays O(k) regardless of `view.len()`.
+/// materialised, so memory stays O(k) regardless of `points.len()`.
 ///
 /// Returns `(index, distance)` pairs sorted ascending by
 /// `(distance, index)`; ties therefore break to the lower index and
 /// the result is fully deterministic. `query` itself is excluded.
-/// Fewer than `k` pairs come back when the view is small.
-pub fn top_k_nearest<V: FeatureView + ?Sized>(
-    view: &V,
-    query: usize,
-    k: usize,
-) -> Vec<(usize, f64)> {
-    let n = view.len();
+/// Fewer than `k` pairs come back when the set is small.
+pub fn top_k_nearest(points: &[Vec<f64>], query: usize, k: usize) -> Vec<(usize, f64)> {
+    let n = points.len();
     if k == 0 || query >= n {
         return Vec::new();
     }
     let mut top = TopK::new(k);
-    for j in 0..n {
+    for (j, p) in points.iter().enumerate() {
         if j == query {
             continue;
         }
-        top.offer(j, view.distance(query, j));
+        top.offer(j, euclidean(&points[query], p));
     }
     top.into_sorted()
 }
@@ -302,11 +261,11 @@ fn lex_less(a: (f64, usize), b: (f64, usize)) -> bool {
     a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).is_lt()
 }
 
-/// The Lance–Williams row store shared by the matrix-free sources:
-/// rows are allocated lazily at a merged slot's first `set` and freed
-/// by `retire`; `NaN` marks entries whose value lives on the *other*
-/// endpoint's row, or — for leaf pairs — is recomputed from the
-/// metric. Peak memory is `(live internal clusters) × n` entries; an
+/// The Lance–Williams row store behind the matrix-free
+/// [`IndexedMetric`](crate::index::IndexedMetric): rows are allocated
+/// lazily at a merged slot's first `set` and freed by `retire`; `NaN`
+/// marks entries whose value lives on the *other* endpoint's row, or —
+/// for leaf pairs — is recomputed from the metric. Peak memory is `(live internal clusters) × n` entries; an
 /// agglomeration that pairs every point first peaks at n²/4 — half the
 /// condensed matrix — while typical incremental merge orders stay far
 /// below. Either way the O(n²) *leaf* triangle, which dominates at raw
@@ -380,130 +339,28 @@ impl LwRows {
     }
 }
 
-/// The matrix-free distance source: leaf distances computed on demand
-/// from a [`FeatureView`], Lance–Williams rows ([`LwRows`]) stored
-/// only for merged clusters.
-#[derive(Debug)]
-pub struct OnDemandMetric<'a, V: FeatureView + ?Sized> {
-    view: &'a V,
-    rows: LwRows,
-    evaluations: u64,
-}
-
-impl<'a, V: FeatureView + ?Sized> OnDemandMetric<'a, V> {
-    /// Wraps a feature view. No distances are computed yet.
-    pub fn new(view: &'a V) -> Self {
-        let n = view.len();
-        OnDemandMetric {
-            view,
-            rows: LwRows::new(n),
-            evaluations: 0,
-        }
-    }
-
-    /// Leaf-distance evaluations performed so far (each `get` that
-    /// reached the view, including repeats of the same pair).
-    pub fn evaluations(&self) -> u64 {
-        self.evaluations
-    }
-
-    /// Lance–Williams rows currently allocated (live merged clusters).
-    pub fn live_rows(&self) -> usize {
-        self.rows.live()
-    }
-}
-
-impl<V: FeatureView + ?Sized> DistanceSource for OnDemandMetric<'_, V> {
-    fn len(&self) -> usize {
-        self.view.len()
-    }
-
-    fn get(&mut self, i: usize, j: usize) -> f64 {
-        if i == j {
-            return 0.0;
-        }
-        if let Some(v) = self.rows.read(i, j) {
-            return v;
-        }
-        self.evaluations += 1;
-        self.view.distance(i, j)
-    }
-
-    fn set(&mut self, i: usize, j: usize, v: f64) {
-        self.rows.set(i, j, v);
-    }
-
-    fn retire(&mut self, slot: usize) {
-        self.rows.retire(slot);
-    }
-}
-
-impl<V: FeatureView + ?Sized> Drop for OnDemandMetric<'_, V> {
-    fn drop(&mut self) {
-        if self.evaluations > 0 {
-            ON_DEMAND_EVALUATIONS.add(self.evaluations);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distance::DistanceMatrix;
-
-    fn pts() -> Vec<Vec<f64>> {
-        vec![
-            vec![0.0, 0.0],
-            vec![3.0, 4.0],
-            vec![6.0, 8.0],
-            vec![-3.0, -4.0],
-        ]
-    }
 
     #[test]
-    fn leaf_reads_match_the_materialised_matrix_bit_for_bit() {
-        let points = pts();
-        let mut built = DistanceMatrix::build(&points, 1).unwrap();
-        let mut lazy = OnDemandMetric::new(&points[..]);
-        for i in 0..points.len() {
-            for j in 0..points.len() {
-                assert_eq!(
-                    DistanceSource::get(&mut lazy, i, j).to_bits(),
-                    DistanceSource::get(&mut built, i, j).to_bits(),
-                    "pair ({i},{j})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn counts_every_evaluation_including_repeats() {
-        let points = pts();
-        let mut lazy = OnDemandMetric::new(&points[..]);
-        let _ = lazy.get(0, 1);
-        let _ = lazy.get(1, 0);
-        let _ = lazy.get(2, 2); // diagonal: no evaluation
-        assert_eq!(lazy.evaluations(), 2);
-    }
-
-    #[test]
-    fn set_values_win_over_the_view_and_retire_frees_rows() {
-        let points = pts();
-        let mut lazy = OnDemandMetric::new(&points[..]);
-        lazy.set(0, 2, 42.0);
-        assert_eq!(lazy.live_rows(), 1);
-        assert_eq!(lazy.get(0, 2), 42.0);
-        assert_eq!(lazy.get(2, 0), 42.0);
-        // An unset pair on the same row still falls back to the view.
-        assert_eq!(lazy.get(0, 1), 5.0);
+    fn stored_values_stay_coherent_and_retire_frees_rows() {
+        let mut rows = LwRows::new(4);
+        assert_eq!(rows.read(0, 2), None, "leaf pairs are not stored");
+        rows.set(0, 2, 42.0);
+        assert_eq!(rows.live(), 1);
+        assert_eq!(rows.read(0, 2), Some(42.0));
+        assert_eq!(rows.read(2, 0), Some(42.0));
+        // An unset pair on the same row is still a leaf pair.
+        assert_eq!(rows.read(0, 1), None);
         // Updates through the other endpoint stay coherent.
-        lazy.set(2, 0, 7.0);
-        assert_eq!(lazy.live_rows(), 1, "no second row for the same pair");
-        assert_eq!(lazy.get(0, 2), 7.0);
-        lazy.retire(0);
-        assert_eq!(lazy.live_rows(), 0);
+        rows.set(2, 0, 7.0);
+        assert_eq!(rows.live(), 1, "no second row for the same pair");
+        assert_eq!(rows.read(0, 2), Some(7.0));
+        rows.retire(0);
+        assert_eq!(rows.live(), 0);
         // With the row gone the pair is a leaf pair again.
-        assert_eq!(lazy.get(0, 2), 10.0);
+        assert_eq!(rows.read(0, 2), None);
     }
 
     #[test]
@@ -518,13 +375,12 @@ mod tests {
                     .collect()
             })
             .collect();
-        let view = &points[..];
         for query in 0..n {
             for k in [0, 1, 3, n - 1, n + 5] {
-                let fast = top_k_nearest(view, query, k);
+                let fast = top_k_nearest(&points, query, k);
                 let mut brute: Vec<(usize, f64)> = (0..n)
                     .filter(|&j| j != query)
-                    .map(|j| (j, view.distance(query, j)))
+                    .map(|j| (j, euclidean(&points[query], &points[j])))
                     .collect();
                 brute.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
                 brute.truncate(k);
@@ -545,28 +401,5 @@ mod tests {
         ];
         let got = top_k_nearest(&points[..], 0, 2);
         assert_eq!(got, vec![(1, 1.0), (2, 1.0)]);
-    }
-
-    #[test]
-    fn flushes_evaluations_to_the_registry_on_drop() {
-        let read = || {
-            towerlens_obs::global()
-                .snapshot()
-                .counters
-                .get("cluster.distance.on_demand_evaluations")
-                .copied()
-                .unwrap_or(0)
-        };
-        let before = read();
-        let points = pts();
-        {
-            let mut lazy = OnDemandMetric::new(&points[..]);
-            let _ = lazy.get(0, 1);
-            let _ = lazy.get(0, 2);
-            let _ = lazy.get(0, 3);
-        }
-        // ≥: other tests in this binary may run on-demand metrics
-        // concurrently; the flush itself is exact.
-        assert!(read() >= before + 3, "counter did not flush on drop");
     }
 }

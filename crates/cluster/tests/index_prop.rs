@@ -7,14 +7,15 @@
 //! index. These properties drive that claim through adversarial
 //! inputs: random clouds, duplicate-heavy clouds (every distance tied
 //! many ways), `k ≥ n`, all-equal point sets, and random deactivation
-//! orders. A final property pins the indexed nn-chain dendrogram to
-//! the on-demand path bit for bit across all four linkages.
+//! orders. A final property pins the indexed dendrogram to the
+//! materialised distance matrix bit for bit across both engines and
+//! all four linkages.
 
 use proptest::prelude::*;
+use towerlens_cluster::agglomerative::agglomerative_points;
 use towerlens_cluster::distance::euclidean;
 use towerlens_cluster::{
-    agglomerative_points_indexed, agglomerative_points_on_demand, top_k_nearest, Engine, Linkage,
-    SearchStats, SpatialIndex, TopK,
+    agglomerative_points_indexed, top_k_nearest, Engine, Linkage, SearchStats, SpatialIndex, TopK,
 };
 
 const LINKAGES: [Linkage; 4] = [
@@ -149,23 +150,26 @@ proptest! {
     }
 
     #[test]
-    fn indexed_dendrogram_is_bit_identical_to_on_demand(
+    fn indexed_dendrogram_is_bit_identical_to_the_matrix(
         points in prop::collection::vec(prop::collection::vec(-100.0f64..100.0, 6), 2..28),
     ) {
         for linkage in LINKAGES {
-            let lazy = agglomerative_points_on_demand(&points, linkage, Engine::NnChain).unwrap();
-            let fast = agglomerative_points_indexed(&points, linkage, Engine::NnChain).unwrap();
-            prop_assert_eq!(lazy.merges().len(), fast.merges().len());
-            for (a, b) in lazy.merges().iter().zip(fast.merges()) {
-                prop_assert_eq!(a.a, b.a, "{:?}", linkage);
-                prop_assert_eq!(a.b, b.b, "{:?}", linkage);
-                prop_assert_eq!(a.size, b.size, "{:?}", linkage);
-                prop_assert_eq!(
-                    a.distance.to_bits(),
-                    b.distance.to_bits(),
-                    "{:?}: merge height bits diverged",
-                    linkage
-                );
+            for engine in [Engine::Naive, Engine::NnChain] {
+                let built = agglomerative_points(&points, linkage, engine, 1).unwrap();
+                let fast = agglomerative_points_indexed(&points, linkage, engine).unwrap();
+                prop_assert_eq!(built.merges().len(), fast.merges().len());
+                for (a, b) in built.merges().iter().zip(fast.merges()) {
+                    prop_assert_eq!(a.a, b.a, "{:?}/{:?}", linkage, engine);
+                    prop_assert_eq!(a.b, b.b, "{:?}/{:?}", linkage, engine);
+                    prop_assert_eq!(a.size, b.size, "{:?}/{:?}", linkage, engine);
+                    prop_assert_eq!(
+                        a.distance.to_bits(),
+                        b.distance.to_bits(),
+                        "{:?}/{:?}: merge height bits diverged",
+                        linkage,
+                        engine
+                    );
+                }
             }
         }
     }

@@ -10,15 +10,15 @@
 //! The representation the clustering sees is a [`FeatureSpace`]
 //! choice: the raw 4,032-dim traffic vector (the paper's setting,
 //! materialised distance matrix) or the 6-dim spectral projection at
-//! the window's principal bins (matrix-free on-demand distances — the
-//! path that carries the paper's 9,600 towers and beyond). `Auto`, the
-//! default, keeps small studies on the raw reference path and switches
-//! large ones to spectral. A golden test below pins the two spaces to
-//! agreement by Adjusted Rand Index on separable data.
+//! the window's principal bins (matrix-free distances through the
+//! exact-pruning spatial index — the path that carries the paper's
+//! 9,600 towers and beyond). `Auto`, the default, keeps small studies
+//! on the raw reference path and switches large ones to spectral. A
+//! golden test below pins the two spaces to agreement by Adjusted Rand
+//! Index on separable data.
 
 use towerlens_cluster::agglomerative::{
-    agglomerative_points, agglomerative_points_indexed, agglomerative_points_on_demand, Engine,
-    Linkage,
+    agglomerative_points, agglomerative_points_indexed, Engine, Linkage,
 };
 use towerlens_cluster::dendrogram::{Clustering, Dendrogram};
 use towerlens_cluster::validity::{best_by_dbi, dbi_sweep, DbiPoint};
@@ -170,13 +170,9 @@ impl PatternIdentifier {
             // Spectral: 6-dim leaf distances, recomputed on demand
             // through the exact-pruning spatial index — no O(n²)
             // buffer, and nearest-neighbour scans collapse to pruned
-            // descents. Bit-identical to the plain on-demand path
-            // (`TOWERLENS_CLUSTER_INDEX=off` forces it, as an escape
-            // hatch and for the A/B smoke in scripts/check.sh).
-            Some(features) if cluster_index_enabled() => {
-                agglomerative_points_indexed(features, cfg.linkage, cfg.engine)?
-            }
-            Some(features) => agglomerative_points_on_demand(features, cfg.linkage, cfg.engine)?,
+            // descents. Bit-identical to the materialised matrix over
+            // the same features (a test below pins it).
+            Some(features) => agglomerative_points_indexed(features, cfg.linkage, cfg.engine)?,
         };
         let space: &[Vec<f64>] = projected.as_deref().unwrap_or(vectors);
         let k_max = cfg.k_max.min(vectors.len());
@@ -199,15 +195,6 @@ impl PatternIdentifier {
             dendrogram,
         })
     }
-}
-
-/// Whether the spectral clustering stage routes nearest-neighbour
-/// queries through the exact-pruning spatial index (the default).
-/// `TOWERLENS_CLUSTER_INDEX=off` selects the plain on-demand scan;
-/// both paths produce bit-identical dendrograms, so this is purely a
-/// diagnostics/escape hatch.
-fn cluster_index_enabled() -> bool {
-    std::env::var("TOWERLENS_CLUSTER_INDEX").map_or(true, |v| v != "off")
 }
 
 #[cfg(test)]
@@ -363,6 +350,34 @@ mod tests {
         assert_eq!(auto.k, raw.k);
         assert_eq!(auto.clustering.labels, raw.clustering.labels);
         assert_eq!(auto.threshold.to_bits(), raw.threshold.to_bits());
+    }
+
+    #[test]
+    fn spectral_dendrogram_is_bit_identical_to_the_materialised_matrix() {
+        // The spectral path clusters through the exact-pruning index;
+        // the materialised matrix over the same projected features is
+        // its oracle. On a tiny spectral study the two dendrograms must
+        // agree merge for merge, heights compared at the bit level.
+        let mut config = crate::StudyConfig::tiny(42);
+        config.identifier.feature_space = FeatureSpace::Spectral;
+        let cfg = config.identifier;
+        let report = crate::Study::new(config).run().unwrap();
+        let bins = towerlens_pipeline::principal_bins(&report.window).unwrap();
+        let features = spectral_project(&report.vectors, bins, 1).unwrap();
+        let oracle = agglomerative_points(&features, cfg.linkage, cfg.engine, 1).unwrap();
+        let got = report.patterns.dendrogram.merges();
+        assert_eq!(got.len(), oracle.merges().len());
+        assert_eq!(got.len(), report.vectors.len() - 1);
+        for (step, (x, y)) in got.iter().zip(oracle.merges()).enumerate() {
+            assert_eq!((x.a, x.b, x.size), (y.a, y.b, y.size), "merge {step}");
+            assert_eq!(
+                x.distance.to_bits(),
+                y.distance.to_bits(),
+                "merge {step}: {} vs {}",
+                x.distance,
+                y.distance
+            );
+        }
     }
 
     #[test]

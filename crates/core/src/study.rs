@@ -169,9 +169,10 @@ impl StudyReport {
     /// An FNV-1a content hash over every numeric and categorical
     /// field of the report, with floats hashed by bit pattern. Two
     /// reports fingerprint equal iff the pipeline produced
-    /// bit-identical results — the equivalence oracle for the staged
-    /// engine vs the monolithic driver, and for resumed vs fresh
-    /// runs.
+    /// bit-identical results — the equivalence oracle for resumed vs
+    /// fresh runs, for the layer-by-layer recomposition in the
+    /// benchmark's traced run, and the pinned golden values in the
+    /// tests below.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv::new();
         // Window.
@@ -475,99 +476,6 @@ impl Study {
         } = graph.run_with(store, supervisor)?;
         let partial = assemble_partial(&self.config, &mut artifacts)?;
         Ok((partial, report))
-    }
-
-    /// The pre-engine single-function pipeline, kept verbatim as the
-    /// numerical reference: the golden test asserts that the staged
-    /// engine reproduces this path bit-for-bit (see
-    /// [`StudyReport::fingerprint`]).
-    #[doc(hidden)]
-    pub fn run_monolithic(&self) -> Result<StudyReport, CoreError> {
-        use towerlens_city::generate::generate;
-        use towerlens_mobility::synth::synthesize_city;
-        use towerlens_opt::simplex::Solver;
-        use towerlens_pipeline::normalize::normalize_matrix;
-
-        use crate::decompose::Decomposer;
-        use crate::freq::{cluster_feature_stats, features_of_goertzel, representative_towers};
-        use crate::identifier::PatternIdentifier;
-        use crate::labeling::label_clusters;
-        use crate::timedomain::{cluster_series, cluster_time_stats};
-
-        let cfg = &self.config;
-        // 1. Ground truth.
-        let city = generate(&cfg.city)?;
-        // 2. Traffic (fast synthesis path).
-        let raw = synthesize_city(&city, &cfg.window, &cfg.synth);
-        // 3. Vectorize (phase 2: z-score; phase 1 happened in synth —
-        //    the log path exercises the full vectorizer; see the
-        //    integration tests).
-        let normalized = normalize_matrix(&raw)?;
-        let kept_ids = normalized.kept_ids.clone();
-        let vectors = normalized.vectors;
-        // 4. Identify patterns (in the configured feature space; the
-        //    window supplies the spectral bins when that space wins).
-        let identifier = PatternIdentifier::new(cfg.identifier);
-        let patterns = identifier.identify_in(&vectors, Some(&cfg.window))?;
-        // 5. Geographic labels.
-        let geo = label_clusters(&city, &patterns.clustering, &kept_ids, 1)?;
-        // 6. Time-domain statistics over the kept towers' raw rows.
-        let kept_raw: Vec<Vec<f64>> = kept_ids.iter().map(|&id| raw[id].clone()).collect();
-        let series = cluster_series(&kept_raw, &patterns.clustering)?;
-        let time_stats: Vec<ClusterTimeStats> = series
-            .iter()
-            .map(|s| cluster_time_stats(s, &cfg.window))
-            .collect::<Result<_, _>>()?;
-        // 7. Frequency features (Goertzel at the three principal
-        //    bins, the same extractor the staged engine runs).
-        let features = features_of_goertzel(&vectors, &cfg.window)?;
-        let feature_stats = cluster_feature_stats(&features, &patterns.clustering)?;
-        // 8. Representatives + decomposition.
-        let pure_clusters: Option<Vec<usize>> = RegionKind::PURE
-            .iter()
-            .map(|&k| cluster_of_kind(&geo.labels, k))
-            .collect();
-        let (representatives, decompositions) = match pure_clusters {
-            Some(pure) if pure.len() == 4 => {
-                let reps = representative_towers(&features, &patterns.clustering, &pure)?;
-                let reps4: [usize; 4] = [reps[0], reps[1], reps[2], reps[3]];
-                let rep_features: [TowerFeatures; 4] = [
-                    features[reps4[0]],
-                    features[reps4[1]],
-                    features[reps4[2]],
-                    features[reps4[3]],
-                ];
-                let decomposer =
-                    Decomposer::new(&rep_features, &city, &kept_ids, Solver::ActiveSet)?;
-                // Rows F1..F4: the representatives themselves.
-                let mut targets: Vec<usize> = reps4.to_vec();
-                // Rows P1..Pn: sampled comprehensive towers.
-                if let Some(comp) = cluster_of_kind(&geo.labels, RegionKind::Comprehensive) {
-                    let members = patterns.clustering.members(comp);
-                    let step = (members.len() / cfg.decompose_sample.max(1)).max(1);
-                    targets.extend(members.iter().step_by(step).take(cfg.decompose_sample));
-                }
-                let rows = decomposer.decompose_all(&targets, &features)?;
-                (Some(reps4), rows)
-            }
-            _ => (None, Vec::new()),
-        };
-
-        Ok(StudyReport {
-            city,
-            window: cfg.window,
-            raw,
-            kept_ids,
-            vectors,
-            patterns,
-            geo,
-            cluster_series: series,
-            time_stats,
-            features,
-            feature_stats,
-            representatives,
-            decompositions,
-        })
     }
 }
 
@@ -957,18 +865,19 @@ mod tests {
         assert_eq!(a.fingerprint(), b.fingerprint());
     }
 
-    /// The golden equivalence: the staged engine must be numerically
-    /// invisible relative to the original single-function driver.
+    /// The golden numbers: the staged engine's tiny-study fingerprints,
+    /// recorded when it was last checked bit-for-bit against the
+    /// original single-function driver. Any change to a stage's
+    /// arithmetic moves them.
     #[test]
-    fn engine_matches_monolithic_bit_for_bit() {
-        for seed in [3, 7] {
-            let study = Study::new(StudyConfig::tiny(seed));
-            let staged = study.run().unwrap();
-            let monolithic = study.run_monolithic().unwrap();
+    fn tiny_study_fingerprints_are_pinned() {
+        for (seed, expected) in [(3, 0xf6b3_dc5e_166a_3a05_u64), (7, 0x2b6a_173c_cdeb_eae3)] {
+            let staged = Study::new(StudyConfig::tiny(seed)).run().unwrap();
             assert_eq!(
                 staged.fingerprint(),
-                monolithic.fingerprint(),
-                "seed {seed}: staged engine diverged from the monolithic driver"
+                expected,
+                "seed {seed}: fingerprint {:#018x} moved",
+                staged.fingerprint()
             );
         }
     }

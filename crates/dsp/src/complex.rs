@@ -6,10 +6,8 @@
 
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A complex number in Cartesian form, `re + i·im`, backed by `f64`.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Complex {
     /// Real part.
     pub re: f64,

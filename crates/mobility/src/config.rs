@@ -1,9 +1,7 @@
 //! Configuration for the fast traffic synthesizer.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the direct per-tower traffic synthesis.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SynthConfig {
     /// RNG seed (per-tower streams are derived from it, so results
     /// don't depend on iteration order or thread count).

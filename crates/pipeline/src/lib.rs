@@ -31,21 +31,17 @@
 //!
 //! Downstream of normalisation, [`feature`] names the representation
 //! the clustering stage sees — the raw traffic vector or its 6-dim
-//! spectral projection ([`FeatureSpace`]) — and [`matrix`] packs
-//! operator-scale raw matrices into chunked f32 storage
-//! ([`TowerMatrix`]) so 100k × 4,032 inputs fit in memory.
+//! spectral projection ([`FeatureSpace`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod feature;
 pub mod impute;
-pub mod matrix;
 pub mod normalize;
 pub mod vectorizer;
 
 pub use feature::{principal_bins, spectral_project, FeatureSpace, SPECTRAL_AUTO_MIN};
 pub use impute::{impute_outages, ImputeConfig, ImputeReport};
-pub use matrix::TowerMatrix;
 pub use normalize::{normalize_matrix, NormalizedMatrix};
 pub use vectorizer::{Vectorizer, VectorizerOptions, VectorizerOutput, VectorizerReport};

@@ -5,12 +5,10 @@
 //! bytes transferred. Serialisation is line-oriented, tab-separated —
 //! the "unstructured logs" the vectorizer ingests.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::TraceError;
 
 /// One data-connection log entry.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LogRecord {
     /// Anonymised subscriber id.
     pub user_id: u64,

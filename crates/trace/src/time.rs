@@ -7,8 +7,6 @@
 //! this workspace are seconds since the *trace epoch* (Aug 1 00:00
 //! local), so the window simply starts at `3 × 86400`.
 
-use serde::{Deserialize, Serialize};
-
 /// Seconds per aggregation bin (10 minutes).
 pub const BIN_SECS: u64 = 600;
 /// Bins per day.
@@ -26,7 +24,7 @@ pub const WINDOW_START_S: u64 = 3 * DAY_SECS;
 /// A binning window: `n_bins` bins of `bin_secs` starting at
 /// `start_s` (seconds since trace epoch). Day 0 of the window is a
 /// Monday, so `dow == 5 | 6` means weekend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceWindow {
     /// Window start, seconds since trace epoch.
     pub start_s: u64,

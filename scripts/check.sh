@@ -48,19 +48,6 @@ grep -q "9600 towers" "$thr_tmp/study-paper.out" \
     || { echo "paper-scale study output missing its tower count"; exit 1; }
 echo "paper-scale spectral study completed within bound"
 
-echo "== cluster-index smoke: the spatial index is byte-invisible =="
-# The exactness contract: the spatial index behind the spectral
-# cluster stage is a pure accelerator, so the same tiny study with
-# TOWERLENS_CLUSTER_INDEX=off (the unindexed on-demand fallback) must
-# print byte-identical stdout.
-./target/release/towerlens-cli study --scale tiny --seed 42 \
-    --feature-space spectral --threads 4 > "$thr_tmp/study-idx-on.out"
-TOWERLENS_CLUSTER_INDEX=off ./target/release/towerlens-cli study --scale tiny --seed 42 \
-    --feature-space spectral --threads 4 > "$thr_tmp/study-idx-off.out"
-cmp "$thr_tmp/study-idx-on.out" "$thr_tmp/study-idx-off.out" \
-    || { echo "spectral study output changes when the cluster index is disabled"; exit 1; }
-echo "index on/off study output byte-identical"
-
 echo "== serve smoke: streaming replay vs batch, kill-and-restart chaos =="
 # The streaming contract, end to end through the real binary: a
 # recorded stream drained by `serve` must render stdout byte-identical
